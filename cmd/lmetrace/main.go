@@ -475,6 +475,10 @@ func progressView(in io.Reader, out io.Writer) error {
 			fmt.Fprintf(out, "barrier stall p50=%sns p99=%sns\n",
 				sketchQ(e.BarrierStallNS, 0.50), sketchQ(e.BarrierStallNS, 0.99))
 		}
+		if e.DispatchNS.Count > 0 {
+			fmt.Fprintf(out, "barrier dispatch p50=%sns p99=%sns, serial share %.1f%%\n",
+				sketchQ(e.DispatchNS, 0.50), sketchQ(e.DispatchNS, 0.99), 100*e.SerialShare)
+		}
 	}
 	if ts := last.Transport; ts != nil {
 		fmt.Fprintf(out, "wire: %s, %d links, frames %d/%d, retransmits %d, dup drops %d, reorder hw %d, overflow %d\n",

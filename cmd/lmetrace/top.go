@@ -148,6 +148,10 @@ func renderTopFrame(rec progress.Record, prev *progress.Record) string {
 			}
 			fmt.Fprintln(&b)
 		}
+		if e.DispatchNS.Count > 0 {
+			fmt.Fprintf(&b, "        dispatch p50=%sns p99=%sns  serial=%.1f%%\n",
+				sketchQ(e.DispatchNS, 0.50), sketchQ(e.DispatchNS, 0.99), 100*e.SerialShare)
+		}
 		b.WriteString(renderHeatGrid(rec, prev))
 	}
 

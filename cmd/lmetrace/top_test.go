@@ -22,7 +22,11 @@ func topRecord(g int, perTile []uint64, final bool) progress.Record {
 		Windows: 12, StealAttempts: 40, StealHits: 30, CrossTileMsgs: 99,
 		Imbalance:    1.50,
 		WindowSpanUS: empty, BarrierStallNS: empty,
+		SerialShare: 0.25,
 	}
+	dispatch := metrics.NewSketch()
+	dispatch.ObserveFloat(4000)
+	e.DispatchNS = dispatch.Snapshot()
 	var total uint64
 	for i, ev := range perTile {
 		e.PerTile = append(e.PerTile, telemetry.TileStats{Tile: int32(i), Events: ev})
@@ -44,6 +48,7 @@ func TestRenderTopFrameHeatGrid(t *testing.T) {
 		"lmetop topo", "[final]",
 		"engine  2×2 tiles  2 workers  windows=12",
 		"imbalance=1.50", "steals=30/40", "cross_tile=99",
+		"dispatch p50=", "serial=25.0%",
 		"events total per tile, max=10",
 	} {
 		if !strings.Contains(frame, want) {

@@ -91,8 +91,12 @@ func (s EdgeSet) Equal(other EdgeSet) bool {
 	return true
 }
 
-// Edges returns the edges in canonical sorted order.
+// Edges returns the edges in canonical sorted order, or nil for an empty
+// set: the canonical empty list, the one a wire round trip reproduces.
 func (s EdgeSet) Edges() []Edge {
+	if len(s) == 0 {
+		return nil
+	}
 	out := make([]Edge, 0, len(s))
 	for e := range s {
 		out = append(out, e)

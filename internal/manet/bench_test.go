@@ -14,3 +14,6 @@ func BenchmarkScaleSweep1kSharded(b *testing.B)  { microbench.ScaleSweep1kSharde
 func BenchmarkScaleSweep10k(b *testing.B)        { microbench.ScaleSweep10k(b) }
 func BenchmarkScaleSweep10kSharded(b *testing.B) { microbench.ScaleSweep10kSharded(b) }
 func BenchmarkShardedChurn(b *testing.B)         { microbench.ShardedChurn(b) }
+func BenchmarkShardBarrier(b *testing.B)         { microbench.ShardBarrier(b) }
+func BenchmarkShardDispatch(b *testing.B)        { microbench.ShardDispatch(b) }
+func BenchmarkTelemetryFold(b *testing.B)        { microbench.TelemetryFold(b) }

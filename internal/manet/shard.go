@@ -22,8 +22,9 @@ package manet
 //   - Barrier: cross-tile message deliveries produced during the window
 //     are routed to their receivers' tiles (they are all at or beyond the
 //     bound, so no tile has run past them), buffered observable effects
-//     (bus events, deferred listener callbacks) are merged and dispatched
-//     in canonical key order, and then at most one topology event — a
+//     (bus events, deferred listener callbacks) are k-way merged from the
+//     tiles' already-ordered runs and dispatched in canonical key order,
+//     and then at most one topology event — a
 //     movement tick or jump, which mutates two nodes' link state and the
 //     spatial index at once — runs serially on the coordinator. Windows
 //     never extend past the earliest pending topology event, so topology
@@ -42,7 +43,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,11 +102,15 @@ type tile struct {
 	processed               uint64
 	msgsSent, msgsDelivered uint64
 
-	// effs buffers the window's observable effects; outMsgs its
-	// cross-tile deliveries (routed at the barrier); outTopo its
-	// topology-event requests (pushed to the coordinator's heap at the
-	// barrier). freeDel is the tile-local delivery-record pool.
+	// effs buffers the window's observable effects in (key, sub) order —
+	// run pops events in key order and buffer stamps a rising sub — so
+	// the barrier merges the tiles' runs instead of sorting them; effHead
+	// is the merge cursor into it. outMsgs holds the window's cross-tile
+	// deliveries (routed at the barrier); outTopo its topology-event
+	// requests (pushed to the coordinator's heap at the barrier).
+	// freeDel is the tile-local delivery-record pool.
 	effs    []effect
+	effHead int
 	outMsgs []sim.Item
 	outTopo []sim.Item
 	freeDel []*delivery
@@ -182,9 +186,21 @@ type shardExec struct {
 	minX, minY, invW, invH float64
 
 	// Reusable barrier scratch.
-	merged []effect
+	merge  effMerge
 	migBuf []sim.Item
 	active []*tile
+
+	// wake holds one channel per window worker: the persistent goroutines
+	// that run parallel windows, started on the first one and stopped by
+	// a cleanup once the engine is unreachable. A window hands its bound
+	// in winBound and joins on winDone; a worker panic is parked in
+	// winPanic for the coordinator to re-raise.
+	wake     []chan *shardExec
+	winBound sim.Key
+	winNext  atomic.Int64
+	winDone  sync.WaitGroup
+	winMu    sync.Mutex
+	winPanic string
 
 	// tel accumulates execution telemetry when Config.Telemetry is set;
 	// nil on the dark path, where the only residue is nil checks and
@@ -211,6 +227,11 @@ type shardTelemetry struct {
 
 	windowSpan   *metrics.Sketch // virtual window width, µs
 	barrierStall *metrics.Sketch // per-worker stall at the join, ns
+	dispatch     *metrics.Sketch // coordinator barrier work per window, ns
+
+	// loopNS is the wall time of every window and its barrier; serialNS
+	// the part of it spent in barrier work (the dispatch sketch's sum).
+	loopNS, serialNS int64
 
 	// traffic is the sparse tile→tile delivery matrix, keyed
 	// from<<32|to; lastProc remembers each tile's event count at the
@@ -228,6 +249,7 @@ func newShardTelemetry(tiles, workers int) *shardTelemetry {
 	return &shardTelemetry{
 		windowSpan:   metrics.NewSketch(),
 		barrierStall: metrics.NewSketch(),
+		dispatch:     metrics.NewSketch(),
 		traffic:      make(map[uint64]uint64),
 		lastProc:     make([]uint64, tiles),
 		wAttempts:    make([]uint64, workers),
@@ -260,6 +282,16 @@ func (tel *shardTelemetry) foldWorkers(nw int) {
 		tel.stealHits += tel.wHits[wi]
 		tel.barrierStall.ObserveFloat(float64(last.Sub(tel.wFinish[wi])))
 	}
+}
+
+// foldBarrier accounts one window round's wall clock: start to join is
+// the window, join to end the coordinator's serial barrier work.
+// Coordinator context.
+func (tel *shardTelemetry) foldBarrier(start, join, end time.Time) {
+	d := end.Sub(join).Nanoseconds()
+	tel.dispatch.ObserveFloat(float64(d))
+	tel.serialNS += d
+	tel.loopNS += end.Sub(start).Nanoseconds()
 }
 
 // foldWindow accumulates one window's shape: its virtual width and the
@@ -304,6 +336,10 @@ func (sx *shardExec) telemetrySnapshot() *telemetry.EngineStats {
 		CrossTileMsgs:  tel.crossMsgs,
 		WindowSpanUS:   tel.windowSpan.Snapshot(),
 		BarrierStallNS: tel.barrierStall.Snapshot(),
+		DispatchNS:     tel.dispatch.Snapshot(),
+	}
+	if tel.loopNS > 0 {
+		es.SerialShare = float64(tel.serialNS) / float64(tel.loopNS)
 	}
 	if tel.windows > 0 {
 		es.ImbalanceMaxAvg = tel.sumMax / float64(tel.windows)
@@ -467,12 +503,20 @@ func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
 		if topoDue {
 			bound = topoKey
 		}
+		var wallStart, wallJoin time.Time
+		if sx.tel != nil {
+			wallStart = time.Now()
+		}
 		sx.runTiles(bound)
 		if sx.tel != nil {
 			sx.foldWindow(wstart.At, bound.At)
+			wallJoin = time.Now()
 		}
 		sx.drainOutboxes()
 		sx.dispatchEffects()
+		if sx.tel != nil {
+			sx.tel.foldBarrier(wallStart, wallJoin, time.Now())
+		}
 		if topoDue {
 			it := sx.topo.Pop()
 			sx.now = it.K.At
@@ -541,45 +585,22 @@ func (sx *shardExec) runTiles(bound sim.Key) {
 			tel.stealHits += uint64(len(active))
 		}
 	} else {
-		tel := sx.tel
 		nw := min(sx.workers, len(active))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicOnce sync.Once
-		var panicVal any
-		var panicStack []byte
-		for wi := range nw {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() {
-							panicVal = r
-							panicStack = debug.Stack()
-						})
-					}
-				}()
-				var attempts, hits uint64
-				for {
-					i := next.Add(1) - 1
-					attempts++
-					if int(i) >= len(active) {
-						break
-					}
-					hits++
-					active[i].run(bound, sx.hook)
-				}
-				if tel != nil {
-					tel.workerDone(wi, attempts, hits)
-				}
-			}()
+		if sx.wake == nil {
+			sx.startWorkers()
 		}
-		wg.Wait()
-		if panicVal != nil {
-			panic(fmt.Sprintf("manet: shard worker panic: %v\n%s", panicVal, panicStack))
+		sx.winBound = bound
+		sx.winNext.Store(0)
+		sx.winDone.Add(nw)
+		for _, c := range sx.wake[:nw] {
+			c <- sx
 		}
-		if tel != nil {
+		sx.winDone.Wait()
+		if msg := sx.winPanic; msg != "" {
+			sx.winPanic = ""
+			panic(msg)
+		}
+		if tel := sx.tel; tel != nil {
 			tel.foldWorkers(nw)
 		}
 	}
@@ -588,6 +609,57 @@ func (sx *shardExec) runTiles(bound sim.Key) {
 		if t.now > sx.now {
 			sx.now = t.now
 		}
+	}
+}
+
+// startWorkers launches the window workers, one per possible window
+// slot. A worker holds only its wake channel between windows — the
+// engine reaches it through the channel, per window — so an abandoned
+// World stays collectable, and its cleanup closes the channels to let
+// the workers exit.
+func (sx *shardExec) startWorkers() {
+	sx.wake = make([]chan *shardExec, min(sx.workers, len(sx.tiles)))
+	for wi := range sx.wake {
+		c := make(chan *shardExec, 1)
+		sx.wake[wi] = c
+		go func() {
+			for s := range c {
+				s.work(wi)
+			}
+		}()
+	}
+	runtime.AddCleanup(sx, func(wake []chan *shardExec) {
+		for _, c := range wake {
+			close(c)
+		}
+	}, sx.wake)
+}
+
+// work is one worker's share of a parallel window: it draws active tiles
+// off the shared cursor until none are left. Worker context.
+func (sx *shardExec) work(wi int) {
+	defer sx.winDone.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			sx.winMu.Lock()
+			if sx.winPanic == "" {
+				sx.winPanic = fmt.Sprintf("manet: shard worker panic: %v\n%s", r, debug.Stack())
+			}
+			sx.winMu.Unlock()
+		}
+	}()
+	var attempts, hits uint64
+	for {
+		i := sx.winNext.Add(1) - 1
+		attempts++
+		if int(i) >= len(sx.active) {
+			break
+		}
+		hits++
+		sx.active[i].run(sx.winBound, sx.hook)
+	}
+	if tel := sx.tel; tel != nil {
+		tel.workerDone(wi, attempts, hits)
 	}
 }
 
@@ -617,37 +689,20 @@ func (sx *shardExec) drainOutboxes() {
 	}
 }
 
-// dispatchEffects merges the window's buffered effects from all active
-// tiles and replays them — bus publications and deferred listener
-// callbacks — in canonical (key, sub) order: exactly the stream the
-// single-heap engine would have produced inline.
+// dispatchEffects replays the window's buffered effects from all active
+// tiles — bus publications and deferred listener callbacks — in canonical
+// (key, sub) order: exactly the stream the single-heap engine would have
+// produced inline. Each tile's run is already in that order, so a k-way
+// merge over the runs yields it without moving a record.
 func (sx *shardExec) dispatchEffects() {
 	w := sx.w
-	merged := sx.merged[:0]
-	for _, t := range sx.active {
-		merged = append(merged, t.effs...)
-		clear(t.effs)
-		t.effs = t.effs[:0]
+	if checkEffectOrder {
+		for _, t := range sx.active {
+			mustBeOrdered(t)
+		}
 	}
-	if len(merged) > 1 {
-		slices.SortFunc(merged, func(a, b effect) int {
-			if a.key.Less(b.key) {
-				return -1
-			}
-			if b.key.Less(a.key) {
-				return 1
-			}
-			if a.sub < b.sub {
-				return -1
-			}
-			if a.sub > b.sub {
-				return 1
-			}
-			return 0
-		})
-	}
-	for i := range merged {
-		e := &merged[i]
+	sx.merge.init(sx.active)
+	for e := sx.merge.next(); e != nil; e = sx.merge.next() {
 		switch e.kind {
 		case effBus:
 			w.bus.Publish(e.ev)
@@ -661,6 +716,102 @@ func (sx *shardExec) dispatchEffects() {
 			}
 		}
 	}
-	clear(merged)
-	sx.merged = merged[:0]
+	for _, t := range sx.active {
+		clear(t.effs)
+		t.effs = t.effs[:0]
+	}
+}
+
+// checkEffectOrder makes every barrier verify that each tile's effect run
+// is in (key, sub) order before merging it. The merge trusts that order;
+// the package's tests switch the check on so an out-of-order buffer call
+// fails loudly instead of silently reordering the trace.
+var checkEffectOrder bool
+
+// mustBeOrdered panics if t's buffered effects are not non-decreasing in
+// (key, sub) order.
+func mustBeOrdered(t *tile) {
+	for i := 1; i < len(t.effs); i++ {
+		if effLess(&t.effs[i], &t.effs[i-1]) {
+			panic(fmt.Sprintf("manet: tile %d effect %d (key %+v sub %d) orders before its predecessor (key %+v sub %d)",
+				t.idx, i, t.effs[i].key, t.effs[i].sub, t.effs[i-1].key, t.effs[i-1].sub))
+		}
+	}
+}
+
+// effLess is the canonical effect order: the producing event's key, then
+// the emission sub-index within that event.
+func effLess(a, b *effect) bool {
+	if a.key == b.key {
+		return a.sub < b.sub
+	}
+	return a.key.Less(b.key)
+}
+
+// effMerge is the barrier's k-way merge over per-tile effect runs: a
+// binary min-heap of the tiles with effects left, ordered by the effect
+// under each tile's cursor. Heads compare in place, so a window with E
+// effects over T tiles costs O(E log T) comparisons and copies nothing.
+type effMerge struct {
+	h []*tile
+}
+
+// init loads the non-empty runs of tiles and rewinds their cursors.
+func (m *effMerge) init(tiles []*tile) {
+	h := m.h[:0]
+	for _, t := range tiles {
+		if len(t.effs) > 0 {
+			t.effHead = 0
+			h = append(h, t)
+		}
+	}
+	m.h = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+}
+
+// next returns the canonically smallest effect not yet returned, or nil
+// once every run is exhausted. The pointer aims into its tile's effs and
+// stays valid until the runs are cleared.
+func (m *effMerge) next() *effect {
+	h := m.h
+	if len(h) == 0 {
+		return nil
+	}
+	t := h[0]
+	e := &t.effs[t.effHead]
+	t.effHead++
+	if t.effHead == len(t.effs) {
+		last := len(h) - 1
+		h[0] = h[last]
+		h[last] = nil
+		m.h = h[:last]
+	}
+	m.down(0)
+	return e
+}
+
+// head is t's effect under the merge cursor.
+func (t *tile) head() *effect { return &t.effs[t.effHead] }
+
+// down restores the heap property below position i.
+func (m *effMerge) down(i int) {
+	h := m.h
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		c := l
+		if r := l + 1; r < n && effLess(h[r].head(), h[l].head()) {
+			c = r
+		}
+		if !effLess(h[c].head(), h[i].head()) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -112,6 +112,12 @@ func TestEngineTelemetryRecord(t *testing.T) {
 	if trafficMsgs != e.CrossTileMsgs {
 		t.Fatalf("traffic cells sum to %d, cross_tile_msgs says %d", trafficMsgs, e.CrossTileMsgs)
 	}
+	if e.DispatchNS.Count != e.Windows {
+		t.Fatalf("dispatch sketch has %d samples for %d windows", e.DispatchNS.Count, e.Windows)
+	}
+	if !(e.SerialShare > 0 && e.SerialShare < 1) {
+		t.Fatalf("serial share %f outside (0, 1)", e.SerialShare)
+	}
 	if e.ImbalanceMeanAvg > 0 && e.Imbalance < 1 {
 		t.Fatalf("imbalance %f < 1 (max/mean cannot be)", e.Imbalance)
 	}

@@ -407,6 +407,7 @@ func (w *World) EngineTelemetry() *telemetry.EngineStats {
 		Events:         events,
 		WindowSpanUS:   empty,
 		BarrierStallNS: empty,
+		DispatchNS:     empty,
 		PerTile: []telemetry.TileStats{{
 			Tile: 0, Events: events,
 			MsgsSent: w.msgsSent, MsgsDelivered: w.msgsDelivered,

@@ -45,6 +45,7 @@ func All() []Benchmark {
 		{Name: "ScaleSweep10k", Fn: ScaleSweep10k},
 		{Name: "ScaleSweep10kSharded", Fn: ScaleSweep10kSharded},
 		{Name: "ShardBarrier", Fn: ShardBarrier},
+		{Name: "ShardDispatch", Fn: ShardDispatch},
 		{Name: "TelemetryFold", Fn: TelemetryFold},
 		{Name: "ShardedChurn", Fn: ShardedChurn},
 		{Name: "WireEncode", Fn: WireEncode},

@@ -9,6 +9,7 @@ import (
 	"lme/internal/graph"
 	"lme/internal/manet"
 	"lme/internal/sim"
+	"lme/internal/trace"
 )
 
 // pingMsg is the payload of the storm protocol; empty so the benchmarks
@@ -129,6 +130,29 @@ func ScaleSweep10kSharded(b *testing.B) {
 // fast path, which must stay allocation-free.
 func ShardBarrier(b *testing.B) {
 	runScaleChunks(b, scaleWorldTel(b, 1_000, manet.AutoTiles(1_000), 2, false), 1_000)
+}
+
+// ShardDispatch is the effect-heavy barrier: the n=10000 sharded storm
+// with an explicit 2-worker bound and a bus subscriber on every send and
+// delivery, so each window buffers thousands of effects that the barrier
+// must merge across tiles and dispatch in canonical order. The other
+// sharded worlds publish almost nothing and never reach that path.
+func ShardDispatch(b *testing.B) {
+	w := scaleWorldTel(b, 10_000, manet.AutoTiles(10_000), 2, false)
+	var seen uint64
+	w.Bus().Subscribe(func(trace.Event) { seen++ }, trace.KindSend, trace.KindDeliver)
+	// Warm past the initial link-up storm, so the tiles' effect buffers
+	// and delivery pools have reached their steady-state size and the
+	// measured slabs see only the barrier's own cost.
+	for i := 0; i < 10; i++ {
+		if err := w.RunUntil(w.Now()+5_000, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runScaleChunks(b, w, 10_000)
+	if seen == 0 {
+		b.Fatal("the subscriber saw no events")
+	}
 }
 
 // TelemetryFold prices engine telemetry: two identical sharded worlds —

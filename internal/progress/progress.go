@@ -245,6 +245,9 @@ func (r Record) HumanLine() string {
 		if e.StealAttempts > 0 {
 			b = fmt.Appendf(b, " steals=%d/%d", e.StealHits, e.StealAttempts)
 		}
+		if e.SerialShare > 0 {
+			b = fmt.Appendf(b, " serial=%.0f%%", 100*e.SerialShare)
+		}
 	}
 	if ts := r.Transport; ts != nil {
 		b = fmt.Appendf(b, " wire=%s/%d/%d", ts.Kind, ts.FramesSent, ts.FramesDelivered)

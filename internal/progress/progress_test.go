@@ -99,6 +99,20 @@ func TestReporterHumanLine(t *testing.T) {
 			t.Errorf("human line %q missing %q", line, want)
 		}
 	}
+	// The engine section shows the barrier's serial share.
+	var he bytes.Buffer
+	re := New(Config{Interval: time.Second, Human: &he, Clock: clock.Now}, Sources{
+		Engine: func() *telemetry.EngineStats {
+			return &telemetry.EngineStats{Schema: telemetry.Schema, Tiles: 4, Workers: 2, SerialShare: 0.42}
+		},
+	})
+	clock.Advance(time.Second)
+	re.Tick()
+	for _, want := range []string{"tiles=4×4", "serial=42%"} {
+		if !strings.Contains(he.String(), want) {
+			t.Errorf("human line %q missing %q", he.String(), want)
+		}
+	}
 	// Loss stays silent when zero.
 	var h2 bytes.Buffer
 	r2 := New(Config{Interval: time.Second, Human: &h2, Clock: clock.Now}, Sources{})

@@ -77,6 +77,15 @@ type EngineStats struct {
 	// last worker finishing.
 	WindowSpanUS   metrics.SketchSnapshot `json:"window_span_us"`
 	BarrierStallNS metrics.SketchSnapshot `json:"barrier_stall_ns"`
+	// DispatchNS sketches the coordinator's serial barrier work per
+	// window (ns): routing the cross-tile outboxes and merging and
+	// dispatching the tiles' buffered effects, while every worker idles.
+	// SerialShare is its sum over the wall time of the window loop
+	// (windows plus barriers) — the fraction no worker count can speed
+	// up. Topology events, which also run serially at barriers, count as
+	// events, not as dispatch.
+	DispatchNS  metrics.SketchSnapshot `json:"dispatch_ns"`
+	SerialShare float64                `json:"serial_share"`
 	// PerTile holds one entry per tile, index-ordered; Traffic the
 	// nonzero cells of the tile→tile matrix, (from, to)-ordered.
 	PerTile []TileStats `json:"per_tile"`

@@ -46,6 +46,8 @@ type engineWire struct {
 	Imbalance        float64    `json:"imbalance"`
 	WindowSpanUS     sketchWire `json:"window_span_us"`
 	BarrierStallNS   sketchWire `json:"barrier_stall_ns"`
+	DispatchNS       sketchWire `json:"dispatch_ns"`
+	SerialShare      float64    `json:"serial_share"`
 	PerTile          []struct {
 		Tile          int32  `json:"tile"`
 		Events        uint64 `json:"events"`
@@ -108,6 +110,8 @@ func TestEngineStatsSchemaPinned(t *testing.T) {
 		ImbalanceMaxAvg: 130, ImbalanceMeanAvg: 100, Imbalance: 1.3,
 		WindowSpanUS:   fullSketch(),
 		BarrierStallNS: fullSketch(),
+		DispatchNS:     fullSketch(),
+		SerialShare:    0.4,
 		PerTile: []TileStats{
 			{Tile: 0, Events: 4000, MsgsSent: 30, MsgsDelivered: 29},
 			{Tile: 1, Events: 2000, MsgsSent: 10, MsgsDelivered: 10},
@@ -124,7 +128,8 @@ func TestEngineStatsSchemaPinned(t *testing.T) {
 	strictDecode(t, data, &wire)
 	if wire.Schema != Schema || wire.Tiles != 2 || wire.Windows != 40 ||
 		wire.StealAttempts != 90 || wire.CrossTileMsgs != 777 ||
-		wire.Imbalance != 1.3 || len(wire.PerTile) != 4 || len(wire.Traffic) != 2 {
+		wire.Imbalance != 1.3 || wire.SerialShare != 0.4 || wire.DispatchNS.Count != 3 ||
+		len(wire.PerTile) != 4 || len(wire.Traffic) != 2 {
 		t.Fatalf("mirror mismatch: %+v", wire)
 	}
 	if wire.WindowSpanUS.Count != 3 || len(wire.WindowSpanUS.Buckets) == 0 {
