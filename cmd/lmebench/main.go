@@ -319,7 +319,9 @@ type microResult struct {
 // ns/op ratio — the end-to-end price of full observability — present
 // whenever both benchmarks ran.
 type microDoc struct {
-	Schema         string        `json:"schema"`
+	Schema string `json:"schema"`
+	// Machine stamps what the ns/op figures depend on.
+	Machine        *microMachine `json:"machine,omitempty"`
 	Results        []microResult `json:"results"`
 	ObservedVsDark float64       `json:"observed_vs_dark,omitempty"`
 	// TelemetryVsDark is TelemetryFold's interleaved-slab overhead ratio
@@ -335,6 +337,27 @@ type microDoc struct {
 	// codecVsGobBudget of the oracle's cost, or it has stopped being a
 	// fast path.
 	CodecVsGob float64 `json:"codec_vs_gob,omitempty"`
+}
+
+// microMachine is the machine stamp of a microbenchmark run.
+type microMachine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+// cpuModel reads the processor's model name where the OS exposes it.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // telemetryOverheadBudget caps TelemetryVsDark under -check: telemetry
@@ -355,7 +378,14 @@ const codecVsGobBudget = 0.5
 // When baseline names a committed BENCH_micro.json, the fresh numbers
 // are compared against its results and large regressions fail the run.
 func runMicro(jsonOut bool, baseline string, tol float64) error {
-	doc := microDoc{Schema: MicroSchema, Results: []microResult{}}
+	doc := microDoc{
+		Schema:  MicroSchema,
+		Machine: &microMachine{CPU: cpuModel(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()},
+		Results: []microResult{},
+	}
+	if !jsonOut {
+		fmt.Printf("machine: %s, GOMAXPROCS=%d, %s\n", doc.Machine.CPU, doc.Machine.GOMAXPROCS, doc.Machine.Go)
+	}
 	for _, bench := range microbench.All() {
 		r := testing.Benchmark(bench.Fn)
 		res := microResult{

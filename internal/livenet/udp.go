@@ -25,16 +25,18 @@ import (
 // message id), and the sender retransmits unacknowledged frames on a
 // timer until the receiver's cumulative ACK covers them.
 //
-// The wire format is the v2 coalesced framing of internal/wire: one
+// The wire format is the v3 varint framing of internal/wire: one
 // datagram carries many frames for a directed link plus an optional
 // piggybacked cumulative ACK for the reverse direction (see
 // wire/dgram.go for the byte layout, DESIGN.md §15 for the rules).
-// Outbound frames accumulate in a per-link datagram buffer that is
-// flushed when it reaches the MTU budget or after a short linger
-// (FlushDelay); ACKs are never sent eagerly — the receiver owes one
+// Outbound frames accumulate in a per-link datagram buffer; Send puts a
+// dirty link on the flusher's ready queue and the flush goroutine writes
+// it as soon as it gets there, so data never waits on a timer, while
+// frames sent in the meantime share the datagram (and a full MTU budget
+// flushes inline). ACKs are never sent eagerly — the receiver owes one
 // after each data datagram, and the debt is settled by riding on the
 // next data datagram to that peer or, failing that, by a standalone ACK
-// datagram when the same linger expires. Payloads are encoded by the
+// datagram once AckDelay expires. Payloads are encoded by the
 // zero-allocation codecs each algorithm's wire.go registers with
 // internal/wire; the gob path (UDPOptions.Gob) is retained as the
 // differential-test oracle and benchmark baseline.
@@ -47,11 +49,11 @@ const (
 	// out alone (loopback carries up to 64 KiB).
 	defaultUDPMTU = 1400
 
-	// defaultUDPFlushDelay is the coalescing linger: the longest a
-	// buffered frame or owed ACK may wait for company. It is two orders
-	// of magnitude below the RTO, so delayed ACKs never provoke spurious
+	// defaultUDPAckDelay is the longest an owed ACK waits for reverse
+	// data to ride on before it goes out alone. It is two orders of
+	// magnitude below the RTO, so delayed ACKs never provoke spurious
 	// retransmission.
-	defaultUDPFlushDelay = 150 * time.Microsecond
+	defaultUDPAckDelay = 150 * time.Microsecond
 
 	defaultUDPRTO = 20 * time.Millisecond
 )
@@ -61,8 +63,10 @@ const (
 type UDPOptions struct {
 	// RTO is the retransmission timeout (default 20ms).
 	RTO time.Duration
-	// FlushDelay is the datagram coalescing linger (default 150µs).
-	FlushDelay time.Duration
+	// AckDelay is how long an ACK-only debt waits to piggyback on
+	// reverse data before a standalone ACK datagram settles it (default
+	// 150µs). Data frames never wait on it.
+	AckDelay time.Duration
 	// MTU is the datagram coalescing budget in bytes (default 1400).
 	MTU int
 	// Gob switches payload encoding to the encoding/gob oracle (one
@@ -84,19 +88,22 @@ type udpSendLink struct {
 	unacked []udpPending
 	down    bool
 
-	// Datagram under construction. gen counts buffer hand-offs so a
-	// lingering flush-timer entry can recognise that its buffer already
-	// left (MTU overflow, LinkDown); scheduled records that a timer
-	// entry is outstanding for the current gen.
+	// Datagram under construction (wire.NewDgram headroom plus packed
+	// frames; nil when no frame is buffered). queued records that the
+	// link sits on the flusher's ready queue.
 	buf       []byte
 	bufFrames uint64
-	gen       uint64
-	scheduled bool
+	queued    bool
 	// ackOwed/ackSeq is the cumulative-ACK debt for the reverse link:
-	// settled by piggybacking on the next flush, or by a standalone ACK
-	// datagram when the linger fires with an empty buffer.
-	ackOwed bool
-	ackSeq  uint64
+	// settled by piggybacking on the next data datagram, or by a
+	// standalone ACK datagram when AckDelay expires first. ackGen counts
+	// settlements so an expiring timer entry can recognise a debt that
+	// was already paid; ackTimed records that an entry is outstanding
+	// for the current ackGen.
+	ackOwed  bool
+	ackSeq   uint64
+	ackGen   uint64
+	ackTimed bool
 
 	// Wire telemetry, cumulative, guarded by mu.
 	sent         uint64 // frames accepted by Send
@@ -119,9 +126,9 @@ type udpPending struct {
 // udpRecvLink is the receiver half of one directed link.
 type udpRecvLink struct {
 	mu       sync.Mutex
-	nextSeq  uint64                // next in-order seq expected (1-based)
-	lastMseq uint64                // msg-id dedup guard: delivered ids are strictly increasing
-	reorder  map[uint64]udpParked  // out-of-order frames keyed by seq
+	nextSeq  uint64               // next in-order seq expected (1-based)
+	lastMseq uint64               // msg-id dedup guard: delivered ids are strictly increasing
+	reorder  map[uint64]udpParked // out-of-order frames keyed by seq
 	down     bool
 
 	// Wire telemetry, cumulative, guarded by mu.
@@ -144,14 +151,20 @@ type udpParked struct {
 // window are dropped and recovered by retransmission.
 const udpReorderCap = 1024
 
-// flushReq is one entry of the flush queue: link key, the buffer
+// ackReq is one entry of the delayed-ACK queue: link key, the ACK
 // generation it was scheduled for, and the deadline. Deadlines are
-// monotone (every entry is now+FlushDelay), so FIFO pop order is
-// deadline order and one goroutine drains the queue with a single timer.
-type flushReq struct {
+// monotone (every entry is now+AckDelay), so FIFO pop order is deadline
+// order and the flush goroutine serves the queue with a single timer.
+type ackReq struct {
 	key linkKey
 	gen uint64
 	at  time.Time
+}
+
+// udpOut is one sealed datagram on its way to the socket: pkt is the
+// datagram, buf the pooled build buffer it lives in.
+type udpOut struct {
+	buf, pkt []byte
 }
 
 // dgramPool recycles datagram build buffers across links and flushes.
@@ -175,20 +188,23 @@ type UDPTransport struct {
 	send map[linkKey]*udpSendLink
 	recv map[linkKey]*udpRecvLink
 
-	deliver    DeliverFunc
-	rto        time.Duration
-	flushDelay time.Duration
-	mtu        int
-	gob        bool
-	started    bool
-	closed     atomic.Bool
-	stopCh     chan struct{}
-	wg         sync.WaitGroup
+	deliver  DeliverFunc
+	rto      time.Duration
+	ackDelay time.Duration
+	mtu      int
+	gob      bool
+	started  bool
+	closed   atomic.Bool
+	stopCh   chan struct{}
+	wg       sync.WaitGroup
 
-	flushMu   sync.Mutex
-	flushCond *sync.Cond
-	flushQ    []flushReq
-	flushStop bool
+	// The flush goroutine's two queues: links with buffered data, drained
+	// as soon as it runs, and ACK-only debts, each due AckDelay after it
+	// arose. wake (capacity 1) nudges an idle flusher.
+	flushMu sync.Mutex
+	readyQ  []linkKey
+	ackQ    []ackReq
+	wake    chan struct{}
 
 	// rtt sketches the send→cumulative-ACK round trip (µs) across all
 	// links; reader goroutines observe into it concurrently, hence the
@@ -220,28 +236,28 @@ func NewUDPTransportOpts(g *graph.Graph, opts UDPOptions) (*UDPTransport, error)
 	if opts.RTO <= 0 {
 		opts.RTO = defaultUDPRTO
 	}
-	if opts.FlushDelay <= 0 {
-		opts.FlushDelay = defaultUDPFlushDelay
+	if opts.AckDelay <= 0 {
+		opts.AckDelay = defaultUDPAckDelay
 	}
 	if opts.MTU <= 0 {
 		opts.MTU = defaultUDPMTU
 	}
 	n := g.N()
 	t := &UDPTransport{
-		n:          n,
-		nbrs:       make([][]core.NodeID, n),
-		conns:      make([]*net.UDPConn, n),
-		addrs:      make([]*net.UDPAddr, n),
-		send:       make(map[linkKey]*udpSendLink, 2*len(g.Edges())),
-		recv:       make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
-		rto:        opts.RTO,
-		flushDelay: opts.FlushDelay,
-		mtu:        opts.MTU,
-		gob:        opts.Gob,
-		stopCh:     make(chan struct{}),
-		rtt:        metrics.NewSketch(),
+		n:        n,
+		nbrs:     make([][]core.NodeID, n),
+		conns:    make([]*net.UDPConn, n),
+		addrs:    make([]*net.UDPAddr, n),
+		send:     make(map[linkKey]*udpSendLink, 2*len(g.Edges())),
+		recv:     make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
+		rto:      opts.RTO,
+		ackDelay: opts.AckDelay,
+		mtu:      opts.MTU,
+		gob:      opts.Gob,
+		stopCh:   make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		rtt:      metrics.NewSketch(),
 	}
-	t.flushCond = sync.NewCond(&t.flushMu)
 	for i := 0; i < n; i++ {
 		// Copy-on-retain: the transport keeps its own adjacency slices so
 		// it never aliases a runtime-owned Neighbors() view.
@@ -274,8 +290,8 @@ func (t *UDPTransport) closeConns() {
 	}
 }
 
-// Start launches one reader goroutine per socket, the flush-timer
-// goroutine and the retransmission loop.
+// Start launches one reader goroutine per socket, the flush goroutine
+// and the retransmission loop.
 func (t *UDPTransport) Start(deliver DeliverFunc) error {
 	if t.started {
 		return errAlreadyStarted
@@ -293,11 +309,12 @@ func (t *UDPTransport) Start(deliver DeliverFunc) error {
 }
 
 // Send encodes the frame into the link's datagram buffer, registers it
-// as unacknowledged, and either flushes (MTU budget reached) or arms the
-// coalescing linger. Drops silently on unknown or downed links,
-// oversized payloads, and after Close — the same semantics as the
-// channel transport. A message type with no registered codec panics:
-// the failure must be loud at the sender, not a mystery at the peer.
+// as unacknowledged, and either writes the datagram inline (MTU budget
+// reached) or puts the link on the flusher's ready queue. Drops silently
+// on unknown or downed links, oversized payloads, and after Close — the
+// same semantics as the channel transport. A message type with no
+// registered codec panics: the failure must be loud at the sender, not a
+// mystery at the peer.
 func (t *UDPTransport) Send(f Frame) {
 	if t.closed.Load() {
 		return
@@ -313,23 +330,21 @@ func (t *UDPTransport) Send(f Frame) {
 		return
 	}
 	if sl.buf == nil {
-		sl.buf = wire.AppendDgramHeader(getDgramBuf(), uint32(f.From), uint32(f.To))
-		if t.gob {
-			wire.SetDgramGob(sl.buf)
-		}
+		sl.buf = wire.NewDgram(getDgramBuf())
 	}
-	// Encode the frame in place: header with a zero length, payload
-	// appended by the codec, length backfilled. On any encode failure the
-	// buffer rolls back to frameStart and the datagram is untouched.
+	// Encode the frame in place: header with a placeholder length,
+	// payload appended by the codec, length backfilled. On any encode
+	// failure the buffer rolls back to frameStart and the datagram is
+	// untouched.
 	frameStart := len(sl.buf)
 	seq := sl.nextSeq
-	sl.buf = wire.AppendFrame(sl.buf, seq, f.Mseq, int64(f.SentAt), nil)
+	var lenAt int
+	sl.buf, lenAt = wire.BeginFrame(sl.buf, seq, f.Mseq, int64(f.SentAt))
 	payStart := len(sl.buf)
 	if t.gob {
 		var gbuf bytes.Buffer
 		if err := gob.NewEncoder(&gbuf).Encode(wirePayload{M: f.Msg}); err != nil {
-			sl.buf = sl.buf[:frameStart]
-			t.rollbackEmpty(sl)
+			t.rollbackLocked(sl, frameStart)
 			sl.mu.Unlock()
 			return
 		}
@@ -338,20 +353,18 @@ func (t *UDPTransport) Send(f Frame) {
 		var err error
 		sl.buf, err = wire.AppendMessage(sl.buf, f.Msg)
 		if err != nil {
-			sl.buf = sl.buf[:frameStart]
-			t.rollbackEmpty(sl)
+			t.rollbackLocked(sl, frameStart)
 			sl.mu.Unlock()
 			panic(err) // *wire.UnregisteredError: fail loudly at Send
 		}
 	}
 	paylen := len(sl.buf) - payStart
 	if paylen > udpMaxPayload {
-		sl.buf = sl.buf[:frameStart]
-		t.rollbackEmpty(sl)
+		t.rollbackLocked(sl, frameStart)
 		sl.mu.Unlock()
 		return
 	}
-	wire.BackfillFrameLen(sl.buf, frameStart, paylen)
+	sl.buf = wire.EndFrame(sl.buf, lenAt)
 
 	sl.nextSeq++
 	sl.sent++
@@ -362,165 +375,191 @@ func (t *UDPTransport) Send(f Frame) {
 	sl.unacked = append(sl.unacked, udpPending{seq: seq, frame: frame, lastSent: time.Now()})
 
 	if len(sl.buf) >= t.mtu {
-		pkt := t.takeLocked(sl)
+		out := t.takeLocked(key, sl)
 		sl.mu.Unlock()
-		t.writeDgram(key, pkt)
-		putDgramBuf(pkt)
+		t.emit(key, out)
 		return
 	}
-	if !sl.scheduled {
-		sl.scheduled = true
-		gen := sl.gen
+	if !sl.queued {
+		sl.queued = true
 		sl.mu.Unlock()
-		t.scheduleFlush(key, gen)
+		t.flushMu.Lock()
+		t.readyQ = append(t.readyQ, key)
+		t.flushMu.Unlock()
+		t.nudge()
 		return
 	}
 	sl.mu.Unlock()
 }
 
-// rollbackEmpty recycles the link's datagram buffer if a rolled-back
-// frame left it headed but empty and no ACK debt justifies keeping it.
-// Caller holds sl.mu.
-func (t *UDPTransport) rollbackEmpty(sl *udpSendLink) {
-	if sl.bufFrames == 0 && !sl.ackOwed {
+// nudge wakes the flush goroutine if it is idle.
+func (t *UDPTransport) nudge() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+// rollbackLocked discards a frame whose encoding failed, recycling the
+// buffer if that frame was its only one. Caller holds sl.mu.
+func (t *UDPTransport) rollbackLocked(sl *udpSendLink, frameStart int) {
+	sl.buf = sl.buf[:frameStart]
+	if sl.bufFrames == 0 {
 		putDgramBuf(sl.buf)
 		sl.buf = nil
 	}
 }
 
-// takeLocked hands the link's datagram buffer to the caller for writing:
-// it settles any owed ACK by piggybacking, advances the buffer
-// generation (invalidating scheduled flushes) and books the wire
-// telemetry. Caller holds sl.mu and must putDgramBuf after writing.
-func (t *UDPTransport) takeLocked(sl *udpSendLink) []byte {
-	pkt := sl.buf
+// takeLocked hands the link's datagram buffer to the caller, sealed and
+// ready to emit. Caller holds sl.mu and sl.buf holds at least one frame.
+func (t *UDPTransport) takeLocked(key linkKey, sl *udpSendLink) udpOut {
+	out := t.sealLocked(key, sl, sl.buf, sl.bufFrames)
 	sl.buf = nil
-	frames := sl.bufFrames
 	sl.bufFrames = 0
-	sl.gen++
-	sl.scheduled = false
-	if sl.ackOwed {
-		wire.SetDgramAck(pkt, sl.ackSeq)
-		sl.ackOwed = false
+	return out
+}
+
+// sealLocked finishes a datagram of frames built on wire.NewDgram for
+// link key: any owed ACK rides along, and the wire telemetry is booked.
+// Caller holds sl.mu.
+func (t *UDPTransport) sealLocked(key linkKey, sl *udpSendLink, buf []byte, frames uint64) udpOut {
+	h := wire.DgramHeader{From: uint32(key[0]), To: uint32(key[1])}
+	if t.gob {
+		h.Flags = wire.FlagGob
+	}
+	if ackLocked(sl, &h) {
 		sl.piggyAcks++
 	}
+	pkt := wire.SealDgram(buf, h)
 	sl.datagrams++
 	sl.framesWire += frames
 	sl.wireBytes += uint64(len(pkt))
-	return pkt
+	return udpOut{buf: buf, pkt: pkt}
 }
 
-// scheduleFlush arms the coalescing linger for one link buffer
-// generation.
-func (t *UDPTransport) scheduleFlush(key linkKey, gen uint64) {
-	req := flushReq{key: key, gen: gen, at: time.Now().Add(t.flushDelay)}
-	t.flushMu.Lock()
-	if t.flushStop {
-		t.flushMu.Unlock()
-		return
+// ackLocked moves the link's owed cumulative ACK, if any, into h and
+// settles the debt, invalidating its timer entry. Caller holds sl.mu.
+func ackLocked(sl *udpSendLink, h *wire.DgramHeader) bool {
+	if !sl.ackOwed {
+		return false
 	}
-	t.flushQ = append(t.flushQ, req)
-	t.flushCond.Signal()
-	t.flushMu.Unlock()
+	h.Flags |= wire.FlagAck
+	h.Ack = sl.ackSeq
+	sl.ackOwed = false
+	sl.ackTimed = false
+	sl.ackGen++
+	return true
 }
 
-// flushLoop drains the flush queue: entries are appended with a uniform
-// linger, so the head is always the earliest deadline — one goroutine
-// and one timer serve every link.
+// flushLoop is the flush goroutine. Each pass it writes every link on
+// the ready queue — frames that arrived while it was busy share their
+// link's datagram, so batching grows with load — then settles the
+// delayed ACKs that have come due. Entries of the ACK queue share one
+// delay, so its head is always the earliest deadline and one timer
+// serves every link.
 func (t *UDPTransport) flushLoop() {
 	defer t.wg.Done()
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer.Stop()
+	var ready []linkKey
+	var due []ackReq
 	for {
 		t.flushMu.Lock()
-		for len(t.flushQ) == 0 && !t.flushStop {
-			t.flushCond.Wait()
+		ready, t.readyQ = t.readyQ, ready[:0]
+		now := time.Now()
+		n := 0
+		for n < len(t.ackQ) && !t.ackQ[n].at.After(now) {
+			n++
 		}
-		if t.flushStop {
-			t.flushMu.Unlock()
+		due = append(due[:0], t.ackQ[:n]...)
+		t.ackQ = t.ackQ[n:]
+		wait := time.Duration(-1)
+		if len(t.ackQ) > 0 {
+			wait = t.ackQ[0].at.Sub(now)
+		}
+		t.flushMu.Unlock()
+		if t.closed.Load() {
 			return
 		}
-		req := t.flushQ[0]
-		t.flushQ = t.flushQ[1:]
-		t.flushMu.Unlock()
 
-		if d := time.Until(req.at); d > 0 {
-			timer.Reset(d)
-			select {
-			case <-t.stopCh:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
+		for _, key := range ready {
+			t.flushData(key)
 		}
-		t.flushLink(req.key, req.gen)
+		for _, r := range due {
+			t.flushAck(r.key, r.gen)
+		}
+		if len(ready) > 0 || len(due) > 0 {
+			continue
+		}
+		if wait >= 0 {
+			timer.Reset(wait)
+		}
+		select {
+		case <-t.stopCh:
+			timer.Stop()
+			return
+		case <-t.wake:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
 }
 
-// flushLink settles one linger expiry: if the scheduled buffer
-// generation is still current it goes to the wire (data, with any owed
-// ACK riding along), or — with no buffered frames — an owed ACK goes out
-// as a standalone ACK datagram.
-func (t *UDPTransport) flushLink(key linkKey, gen uint64) {
+// flushData writes a ready link's buffered frames, with any owed ACK
+// riding along.
+func (t *UDPTransport) flushData(key linkKey) {
 	sl := t.send[key]
-	if sl == nil || t.closed.Load() {
-		return
-	}
 	sl.mu.Lock()
-	if sl.gen != gen || sl.down {
-		sl.mu.Unlock()
+	sl.queued = false
+	if sl.down || sl.buf == nil {
+		sl.mu.Unlock() // an inline MTU flush or LinkDown got here first
 		return
 	}
-	if sl.buf != nil && sl.bufFrames > 0 {
-		pkt := t.takeLocked(sl)
+	out := t.takeLocked(key, sl)
+	sl.mu.Unlock()
+	t.emit(key, out)
+}
+
+// flushAck settles one ACK debt whose delay expired: if it is still
+// owed, it goes out on the link's buffered frames when there are any,
+// else as a standalone ACK datagram.
+func (t *UDPTransport) flushAck(key linkKey, gen uint64) {
+	sl := t.send[key]
+	sl.mu.Lock()
+	if sl.down || sl.ackGen != gen || !sl.ackOwed {
 		sl.mu.Unlock()
-		t.writeDgram(key, pkt)
-		putDgramBuf(pkt)
-		return
-	}
-	if sl.ackOwed {
-		// Reuse a headered-but-empty buffer (a rolled-back Send can leave
-		// one) rather than leaking it.
-		pkt := sl.buf
-		sl.buf = nil
-		if pkt == nil {
-			pkt = wire.AppendDgramHeader(getDgramBuf(), uint32(key[0]), uint32(key[1]))
-		}
-		wire.SetDgramAck(pkt, sl.ackSeq)
-		sl.ackOwed = false
-		sl.gen++
-		sl.scheduled = false
-		sl.datagrams++
-		sl.ackDgrams++
-		sl.wireBytes += uint64(len(pkt))
-		sl.mu.Unlock()
-		t.conns[key[0]].WriteToUDP(pkt, t.addrs[key[1]]) //nolint:errcheck // lost acks are recovered by dedup
-		putDgramBuf(pkt)
 		return
 	}
 	if sl.buf != nil {
-		// Headered but empty and no ACK debt left (a retransmit datagram
-		// can settle the debt first): recycle instead of sending.
-		putDgramBuf(sl.buf)
-		sl.buf = nil
+		out := t.takeLocked(key, sl)
+		sl.mu.Unlock()
+		t.emit(key, out)
+		return
 	}
-	sl.gen++
-	sl.scheduled = false
+	buf := wire.NewDgram(getDgramBuf())
+	h := wire.DgramHeader{From: uint32(key[0]), To: uint32(key[1])}
+	ackLocked(sl, &h)
+	pkt := wire.SealDgram(buf, h)
+	sl.datagrams++
+	sl.ackDgrams++
+	sl.wireBytes += uint64(len(pkt))
 	sl.mu.Unlock()
+	t.conns[key[0]].WriteToUDP(pkt, t.addrs[key[1]]) //nolint:errcheck // lost acks are recovered by dedup
+	putDgramBuf(buf)
 }
 
-// writeDgram sends one frame-carrying datagram from key[0]'s socket to
-// key[1]'s address, applying the test mangle hook.
-func (t *UDPTransport) writeDgram(key linkKey, pkt []byte) {
-	pkts := [][]byte{pkt}
+// emit writes one frame-carrying datagram from key[0]'s socket to
+// key[1]'s address, applying the test mangle hook, and recycles its
+// build buffer.
+func (t *UDPTransport) emit(key linkKey, out udpOut) {
+	pkts := [][]byte{out.pkt}
 	if t.mangle != nil {
-		pkts = t.mangle(pkt)
+		pkts = t.mangle(out.pkt)
 	}
 	for _, p := range pkts {
 		t.conns[key[0]].WriteToUDP(p, t.addrs[key[1]]) //nolint:errcheck // lossy medium; the shim retransmits
 	}
+	putDgramBuf(out.buf)
 }
 
 // retransmitLoop rescans the unacknowledged frames of every link each
@@ -540,9 +579,9 @@ func (t *UDPTransport) retransmitLoop() {
 		}
 		now := time.Now()
 		for key, sl := range t.send {
-			var resend [][]byte
+			var resend []udpOut
 			sl.mu.Lock()
-			var pkt []byte
+			var buf []byte
 			var frames uint64
 			for i := range sl.unacked {
 				if sl.down || now.Sub(sl.unacked[i].lastSent) < t.rto {
@@ -551,40 +590,25 @@ func (t *UDPTransport) retransmitLoop() {
 				sl.unacked[i].lastSent = now
 				sl.unacked[i].resent = true
 				sl.retransmits++
-				if pkt == nil {
-					pkt = wire.AppendDgramHeader(getDgramBuf(), uint32(key[0]), uint32(key[1]))
-					if t.gob {
-						wire.SetDgramGob(pkt)
-					}
-					if sl.ackOwed {
-						wire.SetDgramAck(pkt, sl.ackSeq)
-						sl.ackOwed = false
-						sl.piggyAcks++
-					}
+				if buf == nil {
+					buf = wire.NewDgram(getDgramBuf())
 				}
-				pkt = append(pkt, sl.unacked[i].frame...)
+				buf = append(buf, sl.unacked[i].frame...)
 				frames++
-				if len(pkt) >= t.mtu {
-					sl.datagrams++
-					sl.framesWire += frames
-					sl.wireBytes += uint64(len(pkt))
-					resend = append(resend, pkt)
-					pkt, frames = nil, 0
+				if len(buf) >= t.mtu {
+					resend = append(resend, t.sealLocked(key, sl, buf, frames))
+					buf, frames = nil, 0
 				}
 			}
-			if pkt != nil {
-				sl.datagrams++
-				sl.framesWire += frames
-				sl.wireBytes += uint64(len(pkt))
-				resend = append(resend, pkt)
+			if buf != nil {
+				resend = append(resend, t.sealLocked(key, sl, buf, frames))
 			}
 			sl.mu.Unlock()
-			for _, p := range resend {
+			for _, out := range resend {
 				if t.closed.Load() {
 					return
 				}
-				t.writeDgram(key, p)
-				putDgramBuf(p)
+				t.emit(key, out)
 			}
 		}
 	}
@@ -656,7 +680,7 @@ func (t *UDPTransport) onAck(key linkKey, cum uint64) {
 // onFrames runs the receiver shim over every frame of one datagram —
 // dedup, reorder, in-sequence delivery — then records the cumulative-ACK
 // debt on the reverse link (absorbed into pending outbound data, or sent
-// standalone when the linger fires).
+// standalone once AckDelay expires).
 func (t *UDPTransport) onFrames(key linkKey, body []byte, gobbed bool) {
 	rl := t.recv[key]
 	if rl == nil {
@@ -753,8 +777,8 @@ func (t *UDPTransport) deliverLocked(rl *udpRecvLink, key linkKey, mseq uint64, 
 
 // oweAck records a cumulative-ACK debt for the data link key (the ack
 // travels key[1]→key[0], so it rides the reverse send link). The debt is
-// settled by the next data flush in that direction or, with nothing to
-// ride on, by a standalone ACK datagram after the linger.
+// settled by the next data datagram in that direction or, with nothing
+// to ride on, by a standalone ACK datagram after AckDelay.
 func (t *UDPTransport) oweAck(key linkKey, cum uint64) {
 	rev := linkKey{key[1], key[0]}
 	sl := t.send[rev]
@@ -768,14 +792,19 @@ func (t *UDPTransport) oweAck(key linkKey, cum uint64) {
 	}
 	sl.ackOwed = true
 	sl.ackSeq = cum
-	if !sl.scheduled {
-		sl.scheduled = true
-		gen := sl.gen
+	if sl.buf != nil || sl.ackTimed {
+		// Buffered frames are already on the ready queue and will carry
+		// the ACK; or a timer entry for this debt is already pending.
 		sl.mu.Unlock()
-		t.scheduleFlush(rev, gen)
 		return
 	}
+	sl.ackTimed = true
+	req := ackReq{key: rev, gen: sl.ackGen, at: time.Now().Add(t.ackDelay)}
 	sl.mu.Unlock()
+	t.flushMu.Lock()
+	t.ackQ = append(t.ackQ, req)
+	t.flushMu.Unlock()
+	t.nudge()
 }
 
 // LinkDown tears the link down in both directions: retransmission stops,
@@ -793,8 +822,8 @@ func (t *UDPTransport) LinkDown(a, b core.NodeID) {
 			}
 			sl.bufFrames = 0
 			sl.ackOwed = false
-			sl.gen++
-			sl.scheduled = false
+			sl.ackTimed = false
+			sl.ackGen++
 			sl.mu.Unlock()
 		}
 		if rl := t.recv[key]; rl != nil {
@@ -857,10 +886,6 @@ func (t *UDPTransport) Close() error {
 		return nil
 	}
 	close(t.stopCh)
-	t.flushMu.Lock()
-	t.flushStop = true
-	t.flushCond.Broadcast()
-	t.flushMu.Unlock()
 	t.closeConns()
 	t.wg.Wait()
 	return nil

@@ -198,3 +198,73 @@ func TestUDPGobModeUnregisteredDrops(t *testing.T) {
 		t.Fatalf("delivered %v, want only the encodable frame", got)
 	}
 }
+
+// quietUDP builds a two-node UDP transport whose timers never fire
+// during a test: an hour of AckDelay and an hour of RTO, so every
+// datagram on the wire was sent by the data path itself.
+func quietUDP(t *testing.T) (*UDPTransport, *collector) {
+	t.Helper()
+	tr, err := NewUDPTransportOpts(graph.Line(2), UDPOptions{RTO: time.Hour, AckDelay: time.Hour})
+	if err != nil {
+		t.Fatalf("NewUDPTransportOpts: %v", err)
+	}
+	col := newCollector()
+	if err := tr.Start(col.deliver); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { tr.Close() }) //nolint:errcheck
+	return tr, col
+}
+
+// TestUDPLoneSendNotDelayed pins that data never waits on the ACK
+// timer: one Send on an idle link must be delivered although neither
+// the ACK delay nor the RTO can fire within the test.
+func TestUDPLoneSendNotDelayed(t *testing.T) {
+	tr, col := quietUDP(t)
+	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 1}, Mseq: 1})
+	if !waitFor(t, 5*time.Second, func() bool { return col.count() == 1 }) {
+		t.Fatalf("a lone frame was not delivered (stats %+v)", tr.Stats())
+	}
+	if st := tr.Stats(); st.DatagramsSent != 1 || st.Retransmits != 0 {
+		t.Fatalf("datagrams_sent = %d, retransmits = %d; want one first transmission", st.DatagramsSent, st.Retransmits)
+	}
+}
+
+// TestUDPAckRidesReverseData pins the delayed-ACK rule: the receiver's
+// ACK stays owed — the sender keeps its frame unacknowledged — until
+// the receiver has data for the sender, and then rides on that data
+// instead of costing a standalone ACK datagram.
+func TestUDPAckRidesReverseData(t *testing.T) {
+	tr, col := quietUDP(t)
+	fwd, rev := tr.send[linkKey{0, 1}], tr.send[linkKey{1, 0}]
+	owed := func(sl *udpSendLink) bool {
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		return sl.ackOwed
+	}
+	unacked := func(sl *udpSendLink) int {
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		return len(sl.unacked)
+	}
+
+	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 1}, Mseq: 1})
+	if !waitFor(t, 5*time.Second, func() bool { return col.count() == 1 && owed(rev) }) {
+		t.Fatalf("frame delivered %d times, ack owed %v", col.count(), owed(rev))
+	}
+	if n := unacked(fwd); n != 1 {
+		t.Fatalf("sender holds %d unacked frames before any reverse data, want 1", n)
+	}
+
+	tr.Send(Frame{From: 1, To: 0, Msg: confMsg{N: 2}, Mseq: 1})
+	if !waitFor(t, 5*time.Second, func() bool { return unacked(fwd) == 0 }) {
+		t.Fatalf("reverse data did not carry the owed ACK (stats %+v)", tr.Stats())
+	}
+	st := tr.Stats()
+	if st.AckDatagrams != 0 || st.AcksPiggybacked != 1 {
+		t.Fatalf("ack_datagrams = %d, acks_piggybacked = %d; want 0 and 1", st.AckDatagrams, st.AcksPiggybacked)
+	}
+	if got := col.link(1, 0); len(got) != 1 || got[0].Msg.(confMsg).N != 2 {
+		t.Fatalf("reverse link delivered %v", got)
+	}
+}

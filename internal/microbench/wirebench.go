@@ -125,10 +125,12 @@ func WireDecodeGob(b *testing.B) {
 	}
 }
 
-// DatagramCoalesce measures the framing layer alone: build one
-// MTU-shaped datagram of coalesced frames (header + 16 frames + ack
-// piggyback) into a reused buffer, then parse it back frame by frame.
-// One op = one datagram built and fully parsed. No sockets.
+// DatagramCoalesce measures the framing layer alone, as the UDP sender
+// drives it: build one MTU-shaped v3 datagram of coalesced frames into a
+// reused buffer (NewDgram headroom, 16 frames encoded in place with
+// BeginFrame/EndFrame), seal it with a piggybacked ACK, then parse it
+// back frame by frame. One op = one datagram built, sealed and fully
+// parsed. No sockets.
 func DatagramCoalesce(b *testing.B) {
 	payload := make([]byte, 64)
 	for i := range payload {
@@ -139,14 +141,16 @@ func DatagramCoalesce(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = wire.AppendDgramHeader(buf[:0], 3, 9)
+		buf = wire.NewDgram(buf)
 		for f := 0; f < frames; f++ {
-			buf = wire.AppendFrame(buf, uint64(f+1), uint64(f+1), int64(i), payload)
+			var lenAt int
+			buf, lenAt = wire.BeginFrame(buf, uint64(f+1), uint64(f+1), int64(i))
+			buf = wire.EndFrame(append(buf, payload...), lenAt)
 		}
-		wire.SetDgramAck(buf, uint64(i))
-		hdr, body, err := wire.ParseDgram(buf)
-		if err != nil || !hdr.HasAck() {
-			b.Fatalf("parse: %v (ack %v)", err, hdr.HasAck())
+		pkt := wire.SealDgram(buf, wire.DgramHeader{Flags: wire.FlagAck, From: 3, To: 9, Ack: uint64(i)})
+		hdr, body, err := wire.ParseDgram(pkt)
+		if err != nil || !hdr.HasAck() || hdr.Ack != uint64(i) {
+			b.Fatalf("parse: %v (header %+v)", err, hdr)
 		}
 		n := 0
 		for len(body) > 0 {
